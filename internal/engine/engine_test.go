@@ -257,6 +257,36 @@ func TestFromCheckpointRejectsMissingProgram(t *testing.T) {
 	}
 }
 
+// TestFromCheckpointRejectsMalformedProgram: a program with no
+// instructions or with a buffer index outside NumBufs is an error at
+// load time, never an index panic later in planning or execution.
+func TestFromCheckpointRejectsMalformedProgram(t *testing.T) {
+	valid := func() *export.ProgramSpec {
+		return &export.ProgramSpec{Version: 2, InShape: []int{4}, NumBufs: 2, Input: 0, Output: 1,
+			Instrs: []export.InstrSpec{{Kind: "flatten", In: []int{0}, Out: 1}}}
+	}
+	ck := export.NewCheckpoint(map[string]*tensor.IntTensor{}, nil)
+	ck.Program = valid()
+	if _, err := engine.FromCheckpoint(ck); err != nil {
+		t.Fatalf("well-formed program rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*export.ProgramSpec){
+		"no instructions":  func(s *export.ProgramSpec) { s.Instrs = nil },
+		"input past end":   func(s *export.ProgramSpec) { s.Input = 2 },
+		"negative output":  func(s *export.ProgramSpec) { s.Output = -1 },
+		"no buffers":       func(s *export.ProgramSpec) { s.NumBufs = 0 },
+		"instr reads none": func(s *export.ProgramSpec) { s.Instrs[0].In = nil },
+		"instr reads out":  func(s *export.ProgramSpec) { s.Instrs[0].In = []int{5} },
+		"instr writes out": func(s *export.ProgramSpec) { s.Instrs[0].Out = 7 },
+	} {
+		ck.Program = valid()
+		mutate(ck.Program)
+		if _, err := engine.FromCheckpoint(ck); err == nil {
+			t.Errorf("%s: FromCheckpoint accepted the program", name)
+		}
+	}
+}
+
 func TestServerMatchesDirectExecution(t *testing.T) {
 	g := tensor.NewRNG(31)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)

@@ -167,6 +167,13 @@ func FromCheckpoint(ck *export.Checkpoint) (*Program, error) {
 	if spec.OptLevel < int(OptNone) || spec.OptLevel > int(OptFuse) {
 		return nil, fmt.Errorf("engine: unknown program opt level %d", spec.OptLevel)
 	}
+	if len(spec.Instrs) == 0 {
+		return nil, fmt.Errorf("engine: program has no instructions")
+	}
+	if !bufInRange(spec.Input, spec.NumBufs) || !bufInRange(spec.Output, spec.NumBufs) {
+		return nil, fmt.Errorf("engine: program input buffer %d / output buffer %d outside %d buffers",
+			spec.Input, spec.Output, spec.NumBufs)
+	}
 	inQ := quant.NewQBase(spec.InQuant.NBits, spec.InQuant.Signed, len(spec.InQuant.Scale) > 1)
 	inQ.SetScale(append([]float32(nil), spec.InQuant.Scale...), append([]int64(nil), spec.InQuant.Zero...))
 	inQ.Calibrating = false
@@ -182,6 +189,17 @@ func FromCheckpoint(ck *export.Checkpoint) (*Program, error) {
 	}
 	for i := range spec.Instrs {
 		is := &spec.Instrs[i]
+		if len(is.In) == 0 {
+			return nil, fmt.Errorf("engine: instr %d (%s) reads no buffer", i, is.Kind)
+		}
+		if !bufInRange(is.Out, spec.NumBufs) {
+			return nil, fmt.Errorf("engine: instr %d writes buffer %d outside %d buffers", i, is.Out, spec.NumBufs)
+		}
+		for _, b := range is.In {
+			if !bufInRange(b, spec.NumBufs) {
+				return nil, fmt.Errorf("engine: instr %d reads buffer %d outside %d buffers", i, b, spec.NumBufs)
+			}
+		}
 		it := Instr{
 			Kind: OpKind(is.Kind), Name: is.Name,
 			In: append([]int(nil), is.In...), Out: is.Out,
@@ -307,6 +325,9 @@ func FromCheckpoint(ck *export.Checkpoint) (*Program, error) {
 	}
 	return p, nil
 }
+
+// bufInRange reports whether b names one of a program's numBufs buffers.
+func bufInRange(b, numBufs int) bool { return b >= 0 && b < numBufs }
 
 // lutFromSpec reconstructs a lookup table, rejecting corrupt payloads:
 // the table must be non-empty and every entry must lie inside the

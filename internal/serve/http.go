@@ -127,6 +127,16 @@ func statusFor(err error) (int, string) {
 	}
 }
 
+// bodyStatus maps a request-body decode error to its status: 413 when
+// the body outgrew MaxBodyBytes, 400 for any other malformed body.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "models": len(h.reg.Models())})
 }
@@ -272,7 +282,7 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 	if err != nil {
 		h.metrics.Observe(name, ResultInvalid, 0)
 		endSpan(0, ResultInvalid)
-		writeError(w, http.StatusBadRequest, "bad input tensor: %v", err)
+		writeError(w, bodyStatus(err), "bad input tensor: %v", err)
 		return
 	}
 	xs, err := in.Samples(sample)
@@ -415,7 +425,7 @@ func (h *Handler) priority(r *http.Request) (engine.PriorityClass, error) {
 func (h *Handler) load(w http.ResponseWriter, r *http.Request, name string) {
 	ck, err := export.ReadJSON(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad checkpoint: %v", err)
+		writeError(w, bodyStatus(err), "bad checkpoint: %v", err)
 		return
 	}
 	var sample []int

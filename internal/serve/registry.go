@@ -381,6 +381,15 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 	}
 	r.wg.Add(1) // for the model built below; released in onDrained
 	r.mu.Unlock()
+	// Until the model is published its drain callback cannot run, so
+	// every other exit — an error or a panic while building replicas —
+	// releases the count here, or Close would wait on it forever.
+	published := false
+	defer func() {
+		if !published {
+			r.wg.Done()
+		}
+	}()
 
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
@@ -393,7 +402,6 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 	closed := r.closed
 	r.mu.RUnlock()
 	if closed {
-		r.wg.Done()
 		return ModelInfo{}, ErrClosed
 	}
 	eng := r.opts.Engine
@@ -405,7 +413,6 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 			for _, s := range pool[:i] {
 				s.Close()
 			}
-			r.wg.Done()
 			return ModelInfo{}, err
 		}
 		pool[i] = srv
@@ -424,6 +431,7 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 		r.wg.Done()
 	}
 	m.refs.Store(1)
+	published = true
 	if old := e.cur.Swap(m); old != nil {
 		if old.fp != m.fp {
 			// Content changed: the old version's cache entries are already
