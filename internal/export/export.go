@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -344,12 +343,9 @@ func (c *Checkpoint) Tensor(name string) (*tensor.IntTensor, error) {
 	}
 	// The shape is untrusted: check it against the payload here rather
 	// than let IntFromSlice panic on a mismatch.
-	n := 1
-	for _, s := range ct.Shape {
-		if s < 0 || (s > 0 && n > math.MaxInt/s) {
-			return nil, fmt.Errorf("export: tensor %q has invalid shape %v", name, ct.Shape)
-		}
-		n *= s
+	n, ok := numel(ct.Shape, true)
+	if !ok {
+		return nil, fmt.Errorf("export: tensor %q has invalid shape %v", name, ct.Shape)
 	}
 	if n != len(ct.Data) {
 		return nil, fmt.Errorf("export: tensor %q shape %v does not match %d values", name, ct.Shape, len(ct.Data))

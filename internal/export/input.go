@@ -56,20 +56,28 @@ func ReadInputJSON(r io.Reader) (*InputTensor, error) {
 			return nil, err
 		}
 	}
-	n := 1
-	for _, s := range t.Shape {
-		if s <= 0 {
-			return nil, fmt.Errorf("export: bad input shape %v", t.Shape)
-		}
-		if n > math.MaxInt/s {
-			return nil, fmt.Errorf("export: input shape %v overflows int", t.Shape)
-		}
-		n *= s
+	n, ok := numel(t.Shape, false)
+	if !ok {
+		return nil, fmt.Errorf("export: bad input shape %v", t.Shape)
 	}
 	if n != len(t.Data) {
 		return nil, fmt.Errorf("export: input shape %v does not match %d values", t.Shape, len(t.Data))
 	}
 	return t, nil
+}
+
+// numel returns the element count of an untrusted shape. ok is false
+// if a dimension is negative, or zero when allowZero is false, or if
+// the count overflows int.
+func numel(shape []int, allowZero bool) (n int, ok bool) {
+	n = 1
+	for _, s := range shape {
+		if s < 0 || (s == 0 && !allowZero) || (s > 0 && n > math.MaxInt/s) {
+			return 0, false
+		}
+		n *= s
+	}
+	return n, true
 }
 
 // inputScanner walks a predict body. Every method reports failure by
@@ -155,11 +163,12 @@ func (s *inputScanner) arrayLen() (int, bool) {
 	if !s.consume('[') {
 		return 0, false
 	}
+	s.skipSpace()
 	end := bytes.IndexByte(s.b[s.pos:], ']')
-	if end < 0 {
+	switch {
+	case end < 0:
 		return 0, false
-	}
-	if s.skipSpace(); s.b[s.pos] == ']' {
+	case end == 0:
 		return 0, true
 	}
 	return bytes.Count(s.b[s.pos:s.pos+end], []byte{','}) + 1, true

@@ -26,11 +26,8 @@ func referenceReadInput(body []byte) (*InputTensor, error) {
 	}
 	n := 1
 	for _, s := range t.Shape {
-		if s <= 0 {
+		if s <= 0 || n > math.MaxInt/s {
 			return nil, fmt.Errorf("export: bad input shape %v", t.Shape)
-		}
-		if n > math.MaxInt/s {
-			return nil, fmt.Errorf("export: input shape %v overflows int", t.Shape)
 		}
 		n *= s
 	}
@@ -67,6 +64,7 @@ var scannedBodies = []string{
 	`{"shape":[-1],"data":[5]}`,
 	`{"shape":[3],"data":[1,2]}`,
 	`{"shape":[4294967296,4294967296],"data":[]}`,
+	`{"data":[   1],"shape":[1]}`,
 }
 
 // Bodies outside the canonical grammar, which go to encoding/json.
@@ -141,7 +139,12 @@ func FuzzReadInputJSON(f *testing.F) {
 		f.Add([]byte(b))
 	}
 	f.Add(canonicalBody(f, 1, 2, 3))
-	f.Fuzz(checkSameAsReference)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkSameAsReference(t, body)
+		// ReadInputJSON's buffer always has spare capacity past the
+		// body; scan once more with none, so a read past the end panics.
+		scanInput(body[:len(body):len(body)])
+	})
 }
 
 // TestScanInputTakesCanonicalBodies pins which bodies the fast path
@@ -160,6 +163,39 @@ func TestScanInputTakesCanonicalBodies(t *testing.T) {
 			t.Errorf("scanner took non-canonical body %q", b)
 		}
 		checkSameAsReference(t, []byte(b))
+	}
+}
+
+// TestScanInputCountsOnlyTheArray: the comma count that sizes an array
+// covers exactly the bytes up to its ']', whatever whitespace follows
+// the '['. It never reads past the body, so neither a slice with no
+// spare capacity nor stale bytes left in a pooled buffer change it.
+func TestScanInputCountsOnlyTheArray(t *testing.T) {
+	ws := strings.Repeat(" \n", 1024)
+	bodies := []string{
+		`{"shape":[1],"data":[   1]}`,
+		`{"data":[   1],"shape":[1]}`,
+		`{"shape":[` + ws + `2],"data":[` + ws + `1,` + ws + `2` + ws + `]}`,
+	}
+	for _, body := range bodies {
+		b := []byte(body)
+		if _, ok := scanInput(b[:len(b):len(b)]); !ok {
+			t.Errorf("scanner declined %.40q", body)
+		}
+	}
+	// Truncated after the whitespace: declined, without a panic.
+	for _, body := range []string{`{"shape":[1],"data":[   1]`, `{"shape":[` + ws} {
+		b := []byte(body)
+		if _, ok := scanInput(b[:len(b):len(b)]); ok {
+			t.Errorf("scanner took truncated body %.40q", body)
+		}
+	}
+	// Leave commas in the pooled buffer, then decode through it.
+	if _, err := ReadInputJSON(bytes.NewReader(canonicalBody(t, 6, 3, 32, 32))); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range bodies {
+		checkSameAsReference(t, []byte(body))
 	}
 }
 
